@@ -13,6 +13,13 @@
 #   scripts/check.sh --snapshot    # only the snapshot-and-fork smoke (assumes ./build)
 #   scripts/check.sh --handover    # only the path-churn/handover smoke (assumes ./build)
 #   scripts/check.sh --crossproduct # only the scheduler x CC grid smoke (assumes ./build)
+#   scripts/check.sh --clean-clone # only the fixture guard + a build and ctest run of
+#                                  # `git archive HEAD` in a temp dir (committed files only)
+#
+# The default suite starts with a fixture guard: every file under tests/data/
+# and tests/goldens/ must be tracked by git and not matched by .gitignore, so
+# a test input that only exists in a working copy fails here instead of on a
+# clean clone.
 #
 # The default suite always includes a profiling smoke: a -DMPS_PROF=ON build
 # runs its profiler unit tests and the full golden corpus (byte-identical
@@ -41,6 +48,42 @@ run_suite() {
     ctest --test-dir "$build_dir" --output-on-failure
   fi
 }
+
+# Test inputs and goldens must reach the commit: fail on any file under
+# tests/data/ or tests/goldens/ that git ignores or does not track.
+run_fixture_guard() {
+  echo "fixture guard: tests/data/ + tests/goldens/ tracked and not ignored"
+  if ! git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    echo "  not a git work tree; nothing to check"
+    return 0
+  fi
+  local dirs=(tests/data tests/goldens)
+  local untracked ignored
+  untracked="$(git ls-files --others --exclude-standard -- "${dirs[@]}")"
+  ignored="$(git ls-files --others --ignored --exclude-standard -- "${dirs[@]}"
+             git ls-files --cached --ignored --exclude-standard -- "${dirs[@]}")"
+  if [[ -n "$untracked$ignored" ]]; then
+    echo "fixture guard: files a clean clone would not have:" >&2
+    [[ -n "$untracked" ]] && sed 's/^/  untracked: /' <<<"$untracked" >&2
+    [[ -n "$ignored" ]] && sed 's/^/  ignored:   /' <<<"$ignored" >&2
+    return 1
+  fi
+}
+
+# Tier-1 on exactly what is committed: extract `git archive HEAD` into a temp
+# dir, configure, build and run ctest there. Catches test inputs that exist
+# only in a working copy (ignored or never added).
+run_clean_clone() (
+  local tmp
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' EXIT
+  echo "clean clone: git archive HEAD -> $tmp"
+  mkdir "$tmp/src"
+  git archive HEAD | tar -x -C "$tmp/src"
+  cmake -S "$tmp/src" -B "$tmp/build" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  cmake --build "$tmp/build" -j "$(nproc)"
+  ctest --test-dir "$tmp/build" --output-on-failure -j "$(nproc)"
+)
 
 # Every checked-in preset must load and run end to end through mps_run.
 # Durations are overridden down so the smoke stays fast at any scale.
@@ -222,6 +265,7 @@ scale_only=0
 snapshot_only=0
 handover_only=0
 crossproduct_only=0
+clean_clone_only=0
 for arg in "$@"; do
   case "$arg" in
     --sanitize) sanitize=1 ;;
@@ -235,6 +279,7 @@ for arg in "$@"; do
     --snapshot) snapshot_only=1 ;;
     --handover) handover_only=1 ;;
     --crossproduct) crossproduct_only=1 ;;
+    --clean-clone) clean_clone_only=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
@@ -281,6 +326,14 @@ if [[ "$crossproduct_only" == 1 ]]; then
   exit 0
 fi
 
+if [[ "$clean_clone_only" == 1 ]]; then
+  run_fixture_guard
+  run_clean_clone
+  echo "check.sh: clean-clone check passed"
+  exit 0
+fi
+
+run_fixture_guard
 run_suite build "" -DCMAKE_BUILD_TYPE=RelWithDebInfo
 run_scenarios_smoke build
 run_snapshot_smoke build

@@ -296,9 +296,15 @@ TEST(ProfileReport, FromJsonRejectsWrongSchemaVersion) {
 }
 
 // --- mps_report rendering, pinned byte-for-byte -----------------------------
-// The fixture is a fixed ProfileReport JSON (tests/data/prof_fixture.json);
-// the expected render lives beside it. MPS_UPDATE_GOLDENS=1 refreshes both
-// expected files from the current renderer.
+// Two committed fixtures under tests/data/, each with its expected render
+// beside it:
+//   - prof_fixture.json: a fixed ProfileReport; renders prof_fixture.report.txt.
+//   - prof_fixture.trace.jsonl: a hand-written JSONL trace for
+//     `mps_report --trace`; renders prof_fixture.timelines.txt. It holds 2
+//     conns (5 events each, with count ties to exercise the top-3 ordering),
+//     one unparseable line and one line without t/conn.
+// MPS_UPDATE_GOLDENS=1 refreshes only the expected renders (.report.txt,
+// .timelines.txt) from the current renderer; it never writes the inputs.
 
 TEST(ProfileReport, RenderMatchesPinnedFixture) {
   const fs::path fixture = kDataDir / "prof_fixture.json";

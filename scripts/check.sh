@@ -60,8 +60,7 @@ run_fixture_guard() {
   local dirs=(tests/data tests/goldens)
   local untracked ignored
   untracked="$(git ls-files --others --exclude-standard -- "${dirs[@]}")"
-  ignored="$(git ls-files --others --ignored --exclude-standard -- "${dirs[@]}"
-             git ls-files --cached --ignored --exclude-standard -- "${dirs[@]}")"
+  ignored="$(git ls-files --others --ignored --exclude-standard -- "${dirs[@]}")"
   if [[ -n "$untracked$ignored" ]]; then
     echo "fixture guard: files a clean clone would not have:" >&2
     [[ -n "$untracked" ]] && sed 's/^/  untracked: /' <<<"$untracked" >&2
